@@ -54,16 +54,16 @@ from repro.backends.base import (
 )
 
 # Import for registration side effects (each module self-registers; the
-# cluster coordinator and the numba backend register through lazy shims
-# so the registry lists them even when their dependency is absent).
+# numba backend through a lazy shim so the registry lists it even when
+# its dependency is absent).
 from repro.backends import auto as _auto  # noqa: E402,F401
 from repro.backends import batch as _batch  # noqa: E402,F401
-from repro.backends import cluster as _cluster  # noqa: E402,F401
 from repro.backends import multiprocess as _multiprocess  # noqa: E402,F401
 from repro.backends import numba_backend as _numba_backend  # noqa: E402,F401
 from repro.backends import scalar as _scalar  # noqa: E402,F401
 from repro.backends import simt as _simt  # noqa: E402,F401
 from repro.backends import vectorized as _vectorized  # noqa: E402,F401
+from repro.cluster import coordinator as _coordinator  # noqa: E402,F401
 from repro.backends.auto import AutoBackend, profile_pairs
 from repro.backends.multiprocess import MultiprocessBackend, default_workers
 

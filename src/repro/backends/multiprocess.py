@@ -1,38 +1,29 @@
 """Shared-memory multiprocess backend: pair shards across worker processes.
 
 The NumPy engines are single-process; on a multi-core host the GIL-free
-way to scale them is process sharding.  The expensive state — the CSR
-edge tables of both pair sides plus the per-pair start boxes — is
-serialized **once** into a single :mod:`multiprocessing.shared_memory`
-segment; each worker attaches zero-copy NumPy views over it, runs the
-level-synchronous planner and the stacked leaf pixelization on its
-contiguous shard of pair indices, and ships back only its slice of the
-intersection-area vector.  The parent scatter-gathers the slices and
-derives unions indirectly (``|p u q| = |p| + |q| - |p n q|``).
+way to scale them is process sharding.  This backend is the process-pool
+transport of :class:`repro.cluster.executor.ShardedBackend`, which runs
+the request sequence (route, build, pack, plan, schedule, merge,
+finalize), the shard-result cache tier and the scheduler's fault path
+for it.
 
-Each worker drives the shared chunk kernel
-(:meth:`repro.pixelbox.kernel.ChunkKernel.run_shard` under the shard
-policy) — the same plan+stacked-pixelize sequence every in-process
-executor runs — so every pair's result is an exact integer computed
-independently of its shard and the output is bit-for-bit identical to
-the vectorized backend for any worker count, with identical work
-counters; the parity harness checks this.
+This module owns how a shard reaches a slot: the request's bundle is
+copied **once** into a single :mod:`multiprocessing.shared_memory`
+segment; each pool worker attaches zero-copy NumPy views over it, runs
+the shared chunk kernel on its contiguous range of pair indices (one
+shard per worker), and ships back only its intersection slice.  Results
+and work counters are bit-for-bit the vectorized backend's for any
+worker count; the parity harness checks this.  Small inputs (fewer than
+``min_pairs`` candidates) skip the pool and run in-process.
 
-Small inputs (fewer than ``min_pairs`` candidates) skip the pool and run
-in-process: forking workers for a handful of pairs would cost more than
-the comparison itself.
-
-Two pool lifetimes are supported.  The default tears the pool down after
-every call — no resource outlives ``compare_pairs``, which is right for
-one-shot batch jobs.  ``persistent=True`` keeps one warm worker pool
-across calls (created lazily, pre-spawnable with :meth:`warm`), which is
-what a long-lived owner like :class:`repro.service.ComparisonService`
-wants: process forking happens once per service lifetime instead of once
-per request, and only the (cheap, input-dependent) shared-memory packing
-remains per dispatch.  ``close()`` — also reachable as a context
-manager via :class:`repro.backends.base.BackendLifecycle` — shuts the
-warm pool down and joins its workers; the backend stays usable and
-re-creates the pool on the next pooled call.
+By default the pool is closed at the end of every call, so no resource
+outlives ``compare_pairs``.  ``persistent=True`` keeps one warm pool
+across calls (created lazily, pre-spawnable with :meth:`warm`) for a
+long-lived owner like :class:`repro.service.ComparisonService`; only the
+shared-memory packing remains per dispatch.  ``close()`` shuts it down
+and joins its workers; the next pooled call re-creates it.  A pool
+broken by a dead worker is dropped the same way: the scheduler finishes
+that call's shards in-process and the next call starts a fresh pool.
 """
 
 from __future__ import annotations
@@ -42,25 +33,21 @@ import os
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.backends.base import (
-    BackendCapabilities,
-    BackendLifecycle,
-    Pairs,
-    register,
-)
+from repro.backends.base import BackendCapabilities, Pairs, register
+from repro.cluster.executor import ShardedBackend
+from repro.cluster.scheduler import ShardOutcome
+from repro.cluster.worker import run_bundle_shard
 from repro.errors import KernelError
 from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.kernel import BatchAreas, ChunkKernel, shard_policy
-from repro.pixelbox.vectorized import EdgeTable
+from repro.pixelbox.kernel import BatchAreas, shard_policy
 
 __all__ = ["MultiprocessBackend", "default_workers"]
-
-# Fields of one serialized EdgeTable, in manifest order.
-_TABLE_FIELDS = ("xs", "lo", "hi", "ys", "xlo", "xhi", "offsets")
 
 
 def default_workers() -> int:
@@ -121,33 +108,9 @@ def _pack_arrays(
         manifest[name] = (offset, arr.shape, arr.dtype.str)
         offset += arr.nbytes
     shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for name, arr in arrays.items():
-        off, shape, dtype = manifest[name]
-        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=off)
-        view[...] = arr
+    for name, view in _views(shm.buf, manifest).items():
+        view[...] = arrays[name]
     return shm, manifest
-
-
-def _attach(name: str, unregister: bool) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without tracker double-accounting.
-
-    Python < 3.13 registers *attachments* with the resource tracker as if
-    the attaching process owned the segment.  Under ``spawn`` each worker
-    runs its own tracker, which would unlink the segment at worker exit
-    while the parent still uses it — so spawn workers unregister their
-    attachment.  Under ``fork`` the tracker is shared with the parent and
-    its cache is a set, so a child-side unregister would instead erase
-    the parent's own registration; fork workers leave it alone.
-    """
-    shm = shared_memory.SharedMemory(name=name)
-    if unregister:
-        try:  # pragma: no cover - depends on interpreter internals
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-        except Exception:
-            pass
-    return shm
 
 
 def _views(
@@ -160,78 +123,34 @@ def _views(
     }
 
 
-def _table_from(views: dict[str, np.ndarray], prefix: str) -> EdgeTable:
-    return EdgeTable(*(views[f"{prefix}.{f}"] for f in _TABLE_FIELDS))
-
-
-def _table_arrays(table: EdgeTable, prefix: str) -> dict[str, np.ndarray]:
-    return {
-        f"{prefix}.{f}": getattr(table, f) for f in _TABLE_FIELDS
-    }
-
-
 # ----------------------------------------------------------------------
 # Worker body
 # ----------------------------------------------------------------------
-def _compute_shard(
-    table_p: EdgeTable,
-    table_q: EdgeTable,
-    boxes: np.ndarray,
-    has_box: np.ndarray,
-    lo: int,
-    hi: int,
-    cfg: LaunchConfig,
-    stats: KernelStats,
-    substrate: str = "numpy",
-) -> np.ndarray:
-    """Intersection areas for global pair indices ``[lo, hi)``.
-
-    A thin adapter over :meth:`ChunkKernel.run_shard` under the shard
-    policy — the exact plan+stacked-pixelize sequence every other
-    executor runs, so sharding at any boundary preserves bit-for-bit
-    results *and* identical work counters (on either substrate).
-    """
-    kernel = ChunkKernel(shard_policy(substrate=substrate), cfg)
-    inter, _ = kernel.run_shard(
-        table_p, table_q, boxes, has_box, lo, hi, stats
-    )
-    return inter
-
-
 def _worker(
     shm_name: str,
     manifest: dict[str, tuple[int, tuple, str]],
     lo: int,
     hi: int,
     cfg: LaunchConfig,
-    unregister: bool,
-    substrate: str = "numpy",
-) -> tuple[int, np.ndarray, dict[str, int]]:
-    """Pool task: attach, compute one shard, detach."""
-    shm = _attach(shm_name, unregister)
+    substrate: str,
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Pool task: attach, run shard ``[lo, hi)``, detach.
+
+    The attachment registers the segment with the parent's resource
+    tracker, which fork and spawn workers alike share on POSIX: the
+    tracker keeps a set, and the parent's ``unlink`` retires the entry.
+    """
+    shm = shared_memory.SharedMemory(name=shm_name)
     try:
-        views = _views(shm.buf, manifest)
-        stats = KernelStats()
-        inter = _compute_shard(
-            _table_from(views, "p"),
-            _table_from(views, "q"),
-            views["boxes"],
-            views["has_box"],
-            lo,
-            hi,
-            cfg,
-            stats,
-            substrate,
+        # The kernel allocates its own output: nothing returned views
+        # the segment, which dies with this task.
+        return run_bundle_shard(
+            _views(shm.buf, manifest), lo, hi, shard_policy(substrate), cfg
         )
-        # Copy out: the view's backing segment dies with this task.
-        return lo, np.array(inter, copy=True), stats.as_dict()
     finally:
         shm.close()
 
 
-# ----------------------------------------------------------------------
-# Backend
-# ----------------------------------------------------------------------
 def _warm_probe(hold_seconds: float) -> int:
     """Pool task used to pre-spawn workers (returns the worker pid).
 
@@ -245,8 +164,11 @@ def _warm_probe(hold_seconds: float) -> int:
     return os.getpid()
 
 
+# ----------------------------------------------------------------------
+# Backend
+# ----------------------------------------------------------------------
 @register("multiprocess")
-class MultiprocessBackend(BackendLifecycle):
+class MultiprocessBackend(ShardedBackend):
     """Shared-memory pair sharding across worker processes.
 
     Parameters
@@ -276,6 +198,7 @@ class MultiprocessBackend(BackendLifecycle):
 
     name = "multiprocess"
     description = "pair shards across processes over shared-memory CSR tables"
+    slot_span = "multiprocess.pool_shard"
 
     def __init__(
         self,
@@ -302,16 +225,8 @@ class MultiprocessBackend(BackendLifecycle):
         self.persistent = persistent
         self.substrate = substrate
         self._pool: ProcessPoolExecutor | None = None
-        self._pool_unregister = False
         self._pool_lock = threading.Lock()
-        if result_cache_bytes > 0:
-            from repro.cache import LRUCacheStore
-
-            self._result_cache = LRUCacheStore(
-                result_cache_bytes, name="multiprocess.shard"
-            )
-        else:
-            self._result_cache = None
+        self._init_caches("multiprocess.shard", result_cache_bytes)
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
@@ -324,29 +239,41 @@ class MultiprocessBackend(BackendLifecycle):
         )
 
     # ------------------------------------------------------------------
-    # Warm-pool lifecycle
+    # Pool lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> tuple[ProcessPoolExecutor, bool]:
-        """The warm pool (created lazily) and its attach-unregister flag."""
+    def _new_pool(self) -> ProcessPoolExecutor:
+        """A started worker pool."""
+        # Fork workers must inherit a *running* resource tracker: a warm
+        # pool forks before any segment exists, and a worker that lazily
+        # starts its own tracker would unlink the segment at its exit.
+        try:  # pragma: no cover - interpreter internals
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
+        except Exception:
+            pass
+        pool = ProcessPoolExecutor(
+            max_workers=self.workers, mp_context=_mp_context()
+        )
+        # The first submission forks every worker of a fork pool; make it
+        # here, while this is still the only thread, not from a
+        # scheduler thread.
+        pool.submit(int)
+        return pool
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        """The warm pool (created lazily)."""
         with self._pool_lock:
             if self._pool is None:
-                ctx = _mp_context()
-                self._pool_unregister = ctx.get_start_method() != "fork"
-                if not self._pool_unregister:
-                    # Fork workers must inherit a *running* resource
-                    # tracker: a warm pool forks before any segment
-                    # exists, and a worker that lazily starts its own
-                    # tracker would double-account every attachment.
-                    try:  # pragma: no cover - interpreter internals
-                        from multiprocessing import resource_tracker
+                self._pool = self._new_pool()
+            return self._pool
 
-                        resource_tracker.ensure_running()
-                    except Exception:
-                        pass
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, mp_context=ctx
-                )
-            return self._pool, self._pool_unregister
+    def _drop_pool(self, pool: ProcessPoolExecutor) -> None:
+        """Stop ``pool``; the next pooled call starts a fresh one."""
+        with self._pool_lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=True)
 
     def warm(self, hold_seconds: float = 0.05) -> list[int]:
         """Pre-spawn every worker in the persistent pool; returns pids.
@@ -357,7 +284,7 @@ class MultiprocessBackend(BackendLifecycle):
         """
         if not self.persistent:
             return []
-        pool, _ = self._ensure_pool()
+        pool = self._ensure_pool()
         # One probe per worker: the executor spawns a process per pending
         # submission until max_workers exist, so this forces a full pool.
         futures = [
@@ -368,153 +295,61 @@ class MultiprocessBackend(BackendLifecycle):
 
     def close(self) -> None:
         """Shut the warm pool down and join its workers (idempotent)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
+        pool = self._pool
         if pool is not None:
-            pool.shutdown(wait=True)
+            self._drop_pool(pool)
 
     def cache_stats(self) -> dict[str, dict]:
         """Snapshot of the parent-side shard cache, if enabled."""
-        if self._result_cache is None:
-            return {}
-        return {"multiprocess.shard": self._result_cache.snapshot().as_dict()}
+        return self._cache_stats()
 
     def clear_caches(self) -> None:
         """Drop every cached shard result."""
-        if self._result_cache is not None:
-            self._result_cache.clear()
+        self._clear_caches()
 
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
-        cfg = config or LaunchConfig()
-        n = len(pairs)
-        stats = KernelStats()
-        if n == 0:
-            zero = np.zeros(0, dtype=np.int64)
-            return BatchAreas(zero, zero.copy(), zero.copy(), zero.copy(), stats)
-
-        kernel = ChunkKernel(shard_policy(substrate=self.substrate), cfg)
-        a_p, a_q, boxes, has_box = kernel.route_pairs(pairs)
-        table_p = EdgeTable.build([p for p, _ in pairs])
-        table_q = EdgeTable.build([q for _, q in pairs])
-
-        if self.workers == 1 or n < max(self.min_pairs, 2 * self.workers):
-            inter = _compute_shard(
-                table_p, table_q, boxes, has_box, 0, n, cfg, stats,
-                self.substrate,
-            )
-        else:
-            inter = self._run_pool(table_p, table_q, boxes, has_box, cfg, stats)
-
-        union = kernel.finalize_union(inter, None, a_p, a_q, has_box)
-        return BatchAreas(inter, union, a_p, a_q, stats)
+        return self._compare_sharded(pairs, config)
 
     # ------------------------------------------------------------------
-    def _run_pool(
-        self,
-        table_p: EdgeTable,
-        table_q: EdgeTable,
-        boxes: np.ndarray,
-        has_box: np.ndarray,
-        cfg: LaunchConfig,
-        stats: KernelStats,
-    ) -> np.ndarray:
-        n = len(has_box)
-        arrays = {
-            **_table_arrays(table_p, "p"),
-            **_table_arrays(table_q, "q"),
-            "boxes": boxes,
-            "has_box": has_box,
-        }
-        inter = np.zeros(n, dtype=np.int64)
-        step = -(-n // self.workers)
-        shards = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        record = None
-        if self._result_cache is not None:
-            from repro.cache import copy_shard_result, shard_key, shard_result_nbytes
-            from repro.cluster import wire
+    # Transport
+    # ------------------------------------------------------------------
+    def _runs_local(self, n: int) -> bool:
+        return self.workers == 1 or n < max(self.min_pairs, 2 * self.workers)
 
-            cache = self._result_cache
-            policy = shard_policy(substrate=self.substrate)
-            digest = wire.bundle_digest(arrays)
-            keys = {
-                (lo, hi): shard_key(digest, lo, hi, policy, cfg)
-                for lo, hi in shards
-            }
-            todo = []
-            for lo, hi in shards:
-                hit = cache.get(keys[(lo, hi)])
-                if hit is not None:
-                    shard_inter, shard_stats = hit
-                    inter[lo:hi] = shard_inter
-                    stats.merge(KernelStats(**shard_stats))
-                else:
-                    todo.append((lo, hi))
-            shards = todo
-            if not shards:
-                return inter
-
-            def record(lo: int, hi: int, shard_inter, shard_stats) -> None:
-                entry = copy_shard_result((shard_inter, shard_stats))
-                cache.put(keys[(lo, hi)], entry, shard_result_nbytes(entry))
-
+    @contextmanager
+    def _open_slots(self, digest, bundle, cfg):
+        """One shared-memory segment for the request; a slot per worker."""
         try:
-            shm, manifest = _pack_arrays(arrays)
+            shm, manifest = _pack_arrays(bundle)
         except OSError:  # pragma: no cover - hosts without shm support
-            return _compute_shard(
-                table_p, table_q, boxes, has_box, 0, n, cfg, stats,
-                self.substrate,
-            )
+            yield [], None
+            return
         try:
-            if self.persistent:
-                pool, unregister = self._ensure_pool()
-                self._collect(
-                    pool, shm, manifest, shards, cfg, unregister, inter, stats,
-                    record,
-                )
-            else:
-                ctx = _mp_context()
-                unregister = ctx.get_start_method() != "fork"
-                with ProcessPoolExecutor(
-                    max_workers=len(shards), mp_context=ctx
-                ) as pool:
-                    self._collect(
-                        pool, shm, manifest, shards, cfg, unregister, inter,
-                        stats, record,
-                    )
+            pool = self._ensure_pool() if self.persistent else self._new_pool()
+
+            def run(slot: int, shard) -> ShardOutcome:
+                try:
+                    inter, stats = pool.submit(
+                        _worker, shm.name, manifest, shard.lo, shard.hi, cfg,
+                        self.substrate,
+                    ).result()
+                except BrokenProcessPool:
+                    # A worker died: the scheduler finishes this call's
+                    # shards elsewhere and the next call gets a new pool.
+                    self._drop_pool(pool)
+                    raise
+                return ShardOutcome(inter=inter, stats=KernelStats(**stats))
+
+            try:
+                yield list(range(self.workers)), run
+            finally:
+                if not self.persistent:
+                    pool.shutdown(wait=True)
         finally:
             shm.close()
             try:
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-        return inter
-
-    def _collect(
-        self,
-        pool: ProcessPoolExecutor,
-        shm: shared_memory.SharedMemory,
-        manifest: dict[str, tuple[int, tuple, str]],
-        shards: list[tuple[int, int]],
-        cfg: LaunchConfig,
-        unregister: bool,
-        inter: np.ndarray,
-        stats: KernelStats,
-        record=None,
-    ) -> None:
-        """Submit every shard to ``pool`` and gather slices into ``inter``."""
-        futures = [
-            pool.submit(
-                _worker, shm.name, manifest, lo, hi, cfg, unregister,
-                self.substrate,
-            )
-            for lo, hi in shards
-        ]
-        for future in futures:
-            lo, shard_inter, shard_stats = future.result()
-            inter[lo : lo + len(shard_inter)] = shard_inter
-            part = KernelStats(**shard_stats)
-            stats.merge(part)
-            if record is not None:
-                record(lo, lo + len(shard_inter), shard_inter, shard_stats)

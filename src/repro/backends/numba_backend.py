@@ -1,6 +1,6 @@
 """The ``numba`` backend: the chunk kernel on the compiled substrate.
 
-Registered as a lazy shim like the cluster backend: the module imports
+Registered as a lazy shim: the module imports
 unconditionally (so the registry always lists ``numba`` and can report
 *why* it is unavailable), but instantiation probes for the optional
 dependency and raises a :class:`~repro.errors.BackendError` naming the

@@ -5,13 +5,17 @@ star: the same slide pairs under the same configs should cost a lookup,
 not a recomputation.  One bounded-memory LRU store implementation
 (:class:`LRUCacheStore`) backs three tiers:
 
-* **shard tier** — worker-side (``ShardWorker``) and local
-  (``MultiprocessBackend``) shard results keyed by
+* **shard tier** — shard results keyed by
   ``(bundle_digest, shard range, ExecutionPolicy, LaunchConfig)``, so
   straggler speculation, failure re-dispatch, and service retries hit
-  instead of recomputing.
-* **merge tier** — coordinator-side (``ClusterBackend``) assembled
-  results keyed by the same identity minus the shard range.
+  instead of recomputing.  Worker-side in ``ShardWorker``
+  (``worker.shard``); parent-side in the sharded executor
+  (``repro.cluster.executor.ShardedBackend``), one implementation
+  under each transport's tier name (``multiprocess.shard`` for the
+  process pool, ``coordinator.shard`` for the cluster).
+* **merge tier** — assembled results of the sharded executor keyed by
+  the same identity minus the shard range (``coordinator.merge``,
+  enabled by ``ClusterBackend``).
 * **request tier** — front-door (``Session`` / ``ComparisonService``)
   results keyed by the canonical serialized ``CompareRequest`` plus the
   resolved cost-profile fingerprint, with a :class:`SingleFlight`

@@ -1,25 +1,30 @@
-"""Distributed shard cluster: ``ChunkKernel.run_shard`` across hosts.
+"""Sharded execution: ``ChunkKernel.run_shard`` across processes and hosts.
 
-The multiprocess backend proved the workload shards cleanly on one
-machine; this package lifts the same scatter-gather onto sockets so the
-comparison service can scale past a single host without new kernel
-code.  Layering, beneath :mod:`repro.service`:
+One executor runs every sharded request; transports decide where its
+shards run.  Layering, beneath :mod:`repro.service`:
 
-    service (queue + coalescer)  ->  ClusterBackend (coordinator)
-        ->  wire protocol (binary frames, content-addressed tables)
-            ->  repro worker (TCP)  ->  ChunkKernel.run_shard
+    service (queue + coalescer)  ->  ShardedBackend (route, build, plan,
+        schedule, merge)  ->  transport: process pool (multiprocess)
+                                         or worker sockets (cluster)
+            ->  ChunkKernel.run_shard
 
+* :mod:`repro.cluster.executor` — :class:`ShardedBackend`, the request
+  sequence and result caches both transports share;
+* :mod:`repro.cluster.scheduler` — scatter/gather with straggler
+  speculation, failure re-dispatch, in-process fallback and a
+  deterministic first-result-wins merge;
 * :mod:`repro.cluster.wire` — length-prefixed binary frames; CSR edge
   tables travel once per worker per table version;
 * :mod:`repro.cluster.worker` — the ``repro worker`` server: table
   cache + the one shared kernel entry point;
-* :mod:`repro.cluster.scheduler` — scatter/gather with straggler
-  speculation and deterministic first-result-wins merge;
-* :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, one more
-  entry in the backend registry (bit-for-bit parity enforced by the
-  same harness as every local executor);
+* :mod:`repro.cluster.coordinator` — :class:`ClusterBackend`, the socket
+  transport, one more entry in the backend registry (bit-for-bit parity
+  enforced by the same harness as every local executor);
 * :mod:`repro.cluster.loopback` — N workers behind real 127.0.0.1
   sockets for CI and the parity suite.
+
+The shared-memory process-pool transport is
+:class:`repro.backends.multiprocess.MultiprocessBackend`.
 """
 
 from __future__ import annotations

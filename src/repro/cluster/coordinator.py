@@ -1,29 +1,25 @@
-"""The cluster coordinator: one more ``Backend``, shards served remotely.
+"""The cluster coordinator: the socket transport of the sharded executor.
 
-``ClusterBackend`` generalizes the multiprocess backend's
-scatter-gather to workers behind sockets.  The division of labor is
-identical — route pairs, build the CSR edge tables once, scatter
-contiguous shard index ranges, gather intersection slices, derive
-unions — only the transport changes:
+:class:`ClusterBackend` runs the request sequence of
+:class:`repro.cluster.executor.ShardedBackend` (route, build, pack, plan,
+schedule, merge, finalize) and owns only how a shard reaches a remote
+slot:
 
 * tables travel over the binary wire protocol **once per worker per
   table version** (content-addressed by :func:`repro.cluster.wire.bundle_digest`,
   cached worker-side, re-sent only after eviction);
-* shards are driven by :class:`repro.cluster.scheduler.ShardScheduler`,
-  which owns straggler speculation, worker failure re-dispatch, and the
-  deterministic first-result-wins merge;
+* each slot is a :class:`WorkerClient` socket with health backoff, and
+  one request holds the workers exclusively while its shards run;
 * shard size comes from the cycle cost model
-  (:func:`repro.gpu.cost.recommend_shard_pairs`), so transport overhead
-  stays amortized exactly the way process spin-up is for the local pool.
+  (:func:`repro.gpu.cost.recommend_shard_pairs`), so per-shard transport
+  overhead stays amortized.
 
 With no hosts configured the backend self-hosts a loopback cluster
 (worker threads behind real sockets on 127.0.0.1), so
 ``get_backend("cluster")`` works anywhere — including the registry-
 introspecting parity harness — without multi-host infrastructure.
-Degraded modes degrade further, never wrong: a dead worker's shards are
-re-dispatched, and when every worker is gone the coordinator runs the
-remaining shards in-process through the same
-:meth:`~repro.pixelbox.kernel.ChunkKernel.run_shard` entry point.
+Degraded modes degrade further, never wrong: the scheduler re-dispatches
+a dead worker's shards, and runs them in-process when no worker is left.
 """
 
 from __future__ import annotations
@@ -32,35 +28,20 @@ import os
 import socket
 import threading
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
-from repro.backends.base import (
-    BackendCapabilities,
-    BackendLifecycle,
-    Pairs,
-)
-from repro.cache import (
-    LRUCacheStore,
-    areas_nbytes,
-    copy_areas,
-    merge_key,
-    shard_key,
-)
+from repro.backends.base import BackendCapabilities, Pairs, register
 from repro.cluster import wire
-from repro.cluster.scheduler import (
-    Shard,
-    ShardOutcome,
-    ShardScheduler,
-)
-from repro.cluster.worker import TABLE_FIELDS
+from repro.cluster.executor import ShardedBackend
+from repro.cluster.scheduler import Shard, ShardOutcome
 from repro.errors import ClusterConfigError, ClusterError
 from repro.gpu.cost import recommend_shard_pairs
 from repro.obs.events import EVENTS
-from repro.obs.trace import activate, current_context, current_tracer
+from repro.obs.trace import current_context, current_tracer
 from repro.pixelbox.common import KernelStats, LaunchConfig
-from repro.pixelbox.kernel import BatchAreas, ChunkKernel, shard_policy
-from repro.pixelbox.vectorized import EdgeTable
+from repro.pixelbox.kernel import BatchAreas
 
 __all__ = ["ClusterBackend", "WorkerClient", "parse_hosts"]
 
@@ -327,14 +308,9 @@ class WorkerClient:
         return stats if isinstance(stats, dict) else {}
 
 
-def _table_arrays(table: EdgeTable, prefix: str) -> dict[str, np.ndarray]:
-    return {f"{prefix}.{f}": getattr(table, f) for f in TABLE_FIELDS}
-
-
-class ClusterBackend(BackendLifecycle):
+@register("cluster")
+class ClusterBackend(ShardedBackend):
     """Shard dispatch to remote ``repro worker`` processes.
-
-    Registered as ``"cluster"`` via :mod:`repro.backends.cluster`.
 
     Parameters
     ----------
@@ -360,6 +336,8 @@ class ClusterBackend(BackendLifecycle):
 
     name = "cluster"
     description = "shards on remote workers over the binary wire protocol"
+    slot_span = "cluster.remote_shard"
+    digest_always = True
 
     def __init__(
         self,
@@ -399,23 +377,14 @@ class ClusterBackend(BackendLifecycle):
         self.io_timeout = io_timeout
         self._clients: list[WorkerClient] | None = None
         self._loopback = None
-        self._shard_cache = (
-            LRUCacheStore(shard_cache_bytes, name="coordinator.shard")
-            if shard_cache_bytes > 0
-            else None
-        )
-        self._merge_cache = (
-            LRUCacheStore(merge_cache_bytes, name="coordinator.merge")
-            if merge_cache_bytes > 0
-            else None
+        self._init_caches(
+            "coordinator.shard", shard_cache_bytes, merge_cache_bytes
         )
         self._lock = threading.Lock()
         # One remote dispatch at a time: scheduler threads own the worker
         # sockets for the duration of a request (mirrors the exclusive
         # device contract of the pipeline's GpuDevice).
         self._dispatch_lock = threading.Lock()
-        #: Scheduler report of the most recent remote dispatch.
-        self.last_report = None
 
     # ------------------------------------------------------------------
     # Capabilities / lifecycle
@@ -487,19 +456,11 @@ class ClusterBackend(BackendLifecycle):
 
     def cache_stats(self) -> dict[str, dict]:
         """Snapshots of the coordinator-side caches that are enabled."""
-        out: dict[str, dict] = {}
-        if self._shard_cache is not None:
-            out["coordinator.shard"] = self._shard_cache.snapshot().as_dict()
-        if self._merge_cache is not None:
-            out["coordinator.merge"] = self._merge_cache.snapshot().as_dict()
-        return out
+        return self._cache_stats()
 
     def clear_caches(self) -> None:
         """Drop every coordinator-side cached result."""
-        if self._shard_cache is not None:
-            self._shard_cache.clear()
-        if self._merge_cache is not None:
-            self._merge_cache.clear()
+        self._clear_caches()
 
     def worker_stats(self) -> dict[str, dict]:
         """Per-worker observability counters, keyed by address.
@@ -535,88 +496,27 @@ class ClusterBackend(BackendLifecycle):
     def compare_pairs(
         self, pairs: Pairs, config: LaunchConfig | None = None
     ) -> BatchAreas:
-        cfg = config or LaunchConfig()
-        n = len(pairs)
-        stats = KernelStats()
-        if n == 0:
-            zero = np.zeros(0, dtype=np.int64)
-            return BatchAreas(zero, zero.copy(), zero.copy(), zero.copy(), stats)
+        return self._compare_sharded(pairs, config)
 
-        policy = shard_policy()
-        kernel = ChunkKernel(policy, cfg)
-        # Tracing: scheduler threads do not inherit this thread's
-        # ContextVar, so capture the tracer and the parent span id here
-        # and re-activate them inside the shard closures.
-        tracer = current_tracer()
-        ctx = current_context()
-        trace_parent = ctx[1] if ctx is not None else None
-        a_p, a_q, boxes, has_box = kernel.route_pairs(pairs)
-        if tracer is not None:
-            with tracer.span("cluster.build_tables", pairs=n):
-                table_p = EdgeTable.build([p for p, _ in pairs])
-                table_q = EdgeTable.build([q for _, q in pairs])
-        else:
-            table_p = EdgeTable.build([p for p, _ in pairs])
-            table_q = EdgeTable.build([q for _, q in pairs])
+    # ------------------------------------------------------------------
+    # Transport
+    # ------------------------------------------------------------------
+    def _runs_local(self, n: int) -> bool:
+        return n < self.min_pairs
 
-        def local_run(shard: Shard) -> ShardOutcome:
-            part = KernelStats()
-            if tracer is not None:
-                with activate(tracer, trace_parent):
-                    with tracer.span(
-                        "cluster.local_shard", lo=shard.lo, hi=shard.hi
-                    ):
-                        inter, _ = kernel.run_shard(
-                            table_p, table_q, boxes, has_box,
-                            shard.lo, shard.hi, part,
-                        )
-            else:
-                inter, _ = kernel.run_shard(
-                    table_p, table_q, boxes, has_box, shard.lo, shard.hi, part
-                )
-            return ShardOutcome(inter=inter, stats=part)
-
-        if n < self.min_pairs:
-            outcome = local_run(Shard(0, 0, n))
-            stats.merge(outcome.stats)
-            union = kernel.finalize_union(
-                outcome.inter, None, a_p, a_q, has_box
-            )
-            return BatchAreas(outcome.inter, union, a_p, a_q, stats)
-
-        bundle = {
-            **_table_arrays(table_p, "p"),
-            **_table_arrays(table_q, "q"),
-            "boxes": boxes,
-            "has_box": has_box,
+    def _scheduler_options(self) -> dict:
+        return {
+            "speculate": self.speculate,
+            "speculation_delay": self.speculation_delay,
         }
-        digest = wire.bundle_digest(bundle)
-        if self._merge_cache is not None:
-            mkey = merge_key(digest, policy, cfg)
-            cached = self._merge_cache.get(mkey)
-            if tracer is not None:
-                EVENTS.record(
-                    "cache.lookup",
-                    tier="coordinator.merge",
-                    hit=cached is not None,
-                    trace_id=tracer.trace_id,
-                )
-            if cached is not None:
-                return copy_areas(cached)
+
+    @contextmanager
+    def _open_slots(self, digest, bundle, cfg):
+        """Tables resident on every live worker; a slot per worker."""
         with self._dispatch_lock:
             clients = self._live_clients(digest, bundle)
-            shards = self._plan_shards(pairs, cfg, n, max(1, len(clients)))
 
-            if not clients:
-                inter = np.zeros(n, dtype=np.int64)
-                for shard in shards:
-                    outcome = local_run(shard)
-                    inter[shard.lo : shard.hi] = outcome.inter
-                    stats.merge(outcome.stats)
-                union = kernel.finalize_union(inter, None, a_p, a_q, has_box)
-                return BatchAreas(inter, union, a_p, a_q, stats)
-
-            def _call_remote(client: WorkerClient, shard: Shard) -> ShardOutcome:
+            def run(client: WorkerClient, shard: Shard) -> ShardOutcome:
                 try:
                     outcome = client.run_shard(digest, bundle, shard, cfg)
                 except ClusterError:
@@ -625,82 +525,15 @@ class ClusterBackend(BackendLifecycle):
                 client.note_success()
                 return outcome
 
-            def remote_run(client: WorkerClient, shard: Shard) -> ShardOutcome:
-                if tracer is not None:
-                    # Scheduler worker threads start without the request
-                    # context; re-establish it so the dispatch span (and
-                    # the remote worker's spans, via the wire context)
-                    # stitch under the request tree.
-                    with activate(tracer, trace_parent):
-                        with tracer.span(
-                            "cluster.remote_shard",
-                            worker=str(client),
-                            lo=shard.lo,
-                            hi=shard.hi,
-                        ):
-                            return _call_remote(client, shard)
-                return _call_remote(client, shard)
-
-            cache_lookup = cache_store = None
-            if self._shard_cache is not None:
-
-                def cache_lookup(shard: Shard) -> ShardOutcome | None:
-                    hit = self._shard_cache.get(
-                        shard_key(digest, shard.lo, shard.hi, policy, cfg)
-                    )
-                    if tracer is not None:
-                        EVENTS.record(
-                            "cache.lookup",
-                            tier="coordinator.shard",
-                            hit=hit is not None,
-                            trace_id=tracer.trace_id,
-                        )
-                    if hit is None:
-                        return None
-                    return ShardOutcome(
-                        inter=hit.inter.copy(),
-                        stats=KernelStats(**hit.stats.as_dict()),
-                    )
-
-                def cache_store(shard: Shard, outcome: ShardOutcome) -> None:
-                    entry = ShardOutcome(
-                        inter=outcome.inter.copy(),
-                        stats=KernelStats(**outcome.stats.as_dict()),
-                    )
-                    self._shard_cache.put(
-                        shard_key(digest, shard.lo, shard.hi, policy, cfg),
-                        entry,
-                        entry.inter.nbytes + 256,
-                    )
-
-            scheduler = ShardScheduler(
-                remote_run,
-                local_run,
-                speculate=self.speculate,
-                speculation_delay=self.speculation_delay,
-                cache_lookup=cache_lookup,
-                cache_store=cache_store,
-            )
-            outcomes, report = scheduler.execute(shards, clients)
-            self.last_report = report
-            # Stale speculative calls may still hold a socket; reset
-            # those connections so the next request starts clean
-            # (worker-side table caches survive reconnects).
-            for client in clients:
-                if client.inflight:
-                    client.abort()
-
-        inter = np.zeros(n, dtype=np.int64)
-        for shard in shards:  # deterministic merge order
-            outcome = outcomes[shard.index]
-            inter[shard.lo : shard.hi] = outcome.inter
-            stats.merge(outcome.stats)
-        union = kernel.finalize_union(inter, None, a_p, a_q, has_box)
-        result = BatchAreas(inter, union, a_p, a_q, stats)
-        if self._merge_cache is not None:
-            entry = copy_areas(result)
-            self._merge_cache.put(mkey, entry, areas_nbytes(entry))
-        return result
+            try:
+                yield clients, run
+            finally:
+                # Stale speculative calls may still hold a socket; reset
+                # those connections so the next request starts clean
+                # (worker-side table caches survive reconnects).
+                for client in clients:
+                    if client.inflight:
+                        client.abort()
 
     # ------------------------------------------------------------------
     def _live_clients(
@@ -741,27 +574,20 @@ class ClusterBackend(BackendLifecycle):
                 t.join()
         return [c for i, c in enumerate(candidates) if outcomes.get(i)]
 
-    def _plan_shards(
-        self, pairs: Pairs, cfg: LaunchConfig, n: int, workers: int
-    ) -> list[Shard]:
+    def _shard_pairs(self, pairs: Pairs, cfg: LaunchConfig, slots: int) -> int:
         if self.shard_pairs is not None:
-            size = self.shard_pairs
-        else:
-            from repro.backends.auto import profile_pairs
+            return self.shard_pairs
+        from repro.backends.auto import profile_pairs
 
-            mean_edges, mean_pixels = profile_pairs(pairs)
-            size = recommend_shard_pairs(
-                n,
-                mean_edges,
-                mean_pixels,
-                cfg.threshold,
-                cfg.block_size,
-                workers=workers,
-            )
-        return [
-            Shard(index, lo, min(lo + size, n))
-            for index, lo in enumerate(range(0, n, size))
-        ]
+        mean_edges, mean_pixels = profile_pairs(pairs)
+        return recommend_shard_pairs(
+            len(pairs),
+            mean_edges,
+            mean_pixels,
+            cfg.threshold,
+            cfg.block_size,
+            workers=slots,
+        )
 
 
 def _default_loopback_workers() -> int:

@@ -48,14 +48,32 @@ __all__ = ["DEFAULT_RESULT_CACHE_BYTES", "ShardWorker", "TABLE_FIELDS"]
 # enough to be invisible next to the table cache itself.
 DEFAULT_RESULT_CACHE_BYTES = 64 * 2**20
 
-# Fields of one serialized EdgeTable, in manifest order (shared with the
-# coordinator; mirrors the multiprocess backend's shared-memory layout).
+# Fields of one serialized EdgeTable, in manifest order: the one layout
+# of a table bundle, whether it crosses the wire or a shared-memory
+# segment (see repro.cluster.executor).
 TABLE_FIELDS = ("xs", "lo", "hi", "ys", "xlo", "xhi", "offsets")
 
 
 def table_from_bundle(bundle: dict[str, np.ndarray], prefix: str) -> EdgeTable:
     """Rebuild one side's CSR edge table from a cached bundle."""
     return EdgeTable(*(bundle[f"{prefix}.{f}"] for f in TABLE_FIELDS))
+
+
+def run_bundle_shard(
+    bundle: dict[str, np.ndarray], lo: int, hi: int, policy, cfg
+) -> tuple[np.ndarray, dict[str, int]]:
+    """``ChunkKernel.run_shard`` over pairs ``[lo, hi)`` of a table bundle."""
+    stats = KernelStats()
+    inter, _ = ChunkKernel(policy, cfg).run_shard(
+        table_from_bundle(bundle, "p"),
+        table_from_bundle(bundle, "q"),
+        bundle["boxes"],
+        bundle["has_box"],
+        lo,
+        hi,
+        stats,
+    )
+    return inter, stats.as_dict()
 
 
 class ShardWorker:
@@ -421,18 +439,7 @@ class ShardWorker:
             with self._lock:
                 self.shard_hits += 1
             return inter, stats_dict, True
-        stats = KernelStats()
-        kernel = ChunkKernel(policy, cfg)
-        inter, _ = kernel.run_shard(
-            table_from_bundle(bundle, "p"),
-            table_from_bundle(bundle, "q"),
-            bundle["boxes"],
-            bundle["has_box"],
-            lo,
-            hi,
-            stats,
-        )
-        stats_dict = stats.as_dict()
+        inter, stats_dict = run_bundle_shard(bundle, lo, hi, policy, cfg)
         with self._lock:
             self.shards_run += 1
         if self._results is not None:

@@ -15,6 +15,7 @@ topology differs.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -119,7 +120,9 @@ def _collect(results: list[TileResult], wall: float, timers: StageTimers,
     by_tile: dict[int, list[TileResult]] = {}
     for result in results:
         by_tile.setdefault(result.tile_id, []).append(result)
-    ratio_sum = sum(r.ratio_sum for r in results)
+    # fsum rounds the exact sum once, so the total does not depend on
+    # the order in which aggregator threads completed their tiles.
+    ratio_sum = math.fsum(r.ratio_sum for r in results)
     pairs = sum(r.intersecting_pairs for r in results)
     candidates = sum(r.candidate_pairs for r in results)
     missing_a = missing_b = count_a = count_b = 0

@@ -114,6 +114,41 @@ class TestMultiprocessBackend:
         assert np.array_equal(out["result"].intersection, ref.intersection)
 
 
+    def test_spawn_pool_keeps_the_resource_tracker_quiet(self):
+        """A pool spawned from a multi-threaded process (the pipeline's
+        shape) shares the parent's resource tracker: worker attachments
+        must not unregister the parent's segment, or every unlink makes
+        the tracker print a ``KeyError`` traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "import multiprocessing, threading\n"
+            "from repro.backends import get_backend\n"
+            "from repro.geometry.box import Box\n"
+            "from repro.geometry.polygon import RectilinearPolygon\n"
+            "threading.Thread(target=threading.Event().wait, daemon=True).start()\n"
+            "pairs = [(RectilinearPolygon.from_box(Box(i, 0, i + 6, 6)),\n"
+            "          RectilinearPolygon.from_box(Box(i + 2, 2, i + 8, 8)))\n"
+            "         for i in range(8)]\n"
+            "with get_backend('multiprocess', workers=2, min_pairs=1,\n"
+            "                 persistent=True) as b:\n"
+            "    assert b.compare_pairs(pairs).stats.pairs == 8\n"
+            "    assert multiprocessing.active_children()  # pooled\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "leaked" not in proc.stderr, proc.stderr
+
+
 class TestCostModelSelection:
     CFG = LaunchConfig()
 

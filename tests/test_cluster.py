@@ -7,18 +7,27 @@ file covers what parity cannot: the wire protocol's defensive surface,
 the once-per-worker-per-table-version transfer guarantee, and the
 failure modes (crashed workers, stragglers, cache eviction, garbage on
 the socket) that must degrade without changing a single output bit.
+The crash and dead-worker faults run against both transports of the
+sharded executor: worker sockets (``cluster``) and the shared-memory
+process pool (``multiprocess``).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import socket
 import threading
 import time
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.backends import get_backend
+from repro.backends.multiprocess import MultiprocessBackend
 from repro.cluster import (
     ClusterBackend,
     LoopbackCluster,
@@ -231,53 +240,134 @@ class _SlowWorker(ShardWorker):
         time.sleep(self.delay)
 
 
-def test_worker_crash_mid_shard_does_not_change_results(workload):
+def _kill_and_reap(pid: int, timeout: float = 10.0) -> None:
+    """SIGKILL a pool process and wait until its pool has reaped it."""
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"pool process {pid} was not reaped")
+
+
+class _CrashingPool(MultiprocessBackend):
+    """Pool whose ``victims`` (pids from ``warm()``) die mid-request.
+
+    The first shard dispatched kills them before it reaches the pool, so
+    the shard is in flight on a broken pool: the process-pool analogue
+    of ``_CrashingWorker``.
+    """
+
+    victims: list[int] = []
+
+    @contextmanager
+    def _open_slots(self, digest, bundle, cfg):
+        with super()._open_slots(digest, bundle, cfg) as (slots, run):
+
+            def crashing_run(slot, shard):
+                while self.victims:
+                    _kill_and_reap(self.victims.pop())
+                return run(slot, shard)
+
+            yield slots, crashing_run
+
+
+@contextmanager
+def _faulty_backend(transport: str, dead: int, **cluster_options):
+    """A two-slot backend of ``transport`` with ``dead`` slots crashing.
+
+    Yields ``(backend, healthy)``; ``healthy`` lists the socket workers
+    that stay up (a pool breaks as a whole, so it has none).
+    """
+    if transport == "cluster":
+        crashers = [_CrashingWorker().start() for _ in range(dead)]
+        healthy = [ShardWorker().start() for _ in range(2 - dead)]
+        hosts = ["%s:%d" % w.address for w in crashers + healthy]
+        backend = get_backend(
+            "cluster", hosts=hosts, min_pairs=1, **cluster_options
+        )
+        try:
+            yield backend, healthy
+        finally:
+            backend.close()
+            for worker in crashers + healthy:
+                worker.stop()
+    else:
+        backend = _CrashingPool(workers=2, min_pairs=1, persistent=True)
+        try:
+            backend.victims = backend.warm()[:dead]
+            yield backend, []
+        finally:
+            backend.close()
+
+
+@pytest.mark.parametrize("transport", ["cluster", "multiprocess"])
+def test_worker_crash_mid_shard_does_not_change_results(workload, transport):
     pairs, ref = workload
-    crasher = _CrashingWorker().start()
-    healthy = ShardWorker().start()
-    hosts = [
-        "%s:%d" % crasher.address,
-        "%s:%d" % healthy.address,
-    ]
-    backend = get_backend(
-        "cluster",
-        hosts=hosts,
-        min_pairs=1,
+    with _faulty_backend(
+        transport,
+        dead=1,
         shard_pairs=8,
         # Long speculation fuse: recovery must come from failure
         # re-dispatch, not from speculation racing ahead of it.
         speculation_delay=5.0,
-    )
-    try:
+    ) as (backend, healthy):
         result = backend.compare_pairs(pairs)
         assert np.array_equal(result.intersection, ref.intersection)
         assert np.array_equal(result.union, ref.union)
         assert result.stats.as_dict() == ref.stats.as_dict()
         assert backend.last_report.worker_failures >= 1
-        assert healthy.shards_run >= 1
-    finally:
-        backend.close()
-        healthy.stop()
-        crasher.stop()
+        assert all(worker.shards_run >= 1 for worker in healthy)
 
 
-def test_all_workers_dead_falls_back_to_local(workload):
+@pytest.mark.parametrize("transport", ["cluster", "multiprocess"])
+def test_all_workers_dead_falls_back_to_local(workload, transport):
     pairs, ref = workload
-    crasher_a = _CrashingWorker().start()
-    crasher_b = _CrashingWorker().start()
-    hosts = ["%s:%d" % crasher_a.address, "%s:%d" % crasher_b.address]
-    backend = get_backend(
-        "cluster", hosts=hosts, min_pairs=1, shard_pairs=16
-    )
-    try:
+    with _faulty_backend(transport, dead=2, shard_pairs=16) as (backend, _):
         result = backend.compare_pairs(pairs)  # must not hang or fail
         assert np.array_equal(result.intersection, ref.intersection)
         assert result.stats.as_dict() == ref.stats.as_dict()
         assert backend.last_report.local_shards >= 1
+
+
+def _shm_segments() -> set[str]:
+    return {p.name for p in Path("/dev/shm").glob("psm_*")}
+
+
+@pytest.mark.skipif(
+    not Path("/dev/shm").is_dir(), reason="needs a /dev/shm listing"
+)
+def test_killed_pool_worker_recovers_on_fresh_processes(workload):
+    """A warm pool worker killed between calls: that call finishes
+    exactly through the scheduler, and the next one runs pooled again
+    on new processes."""
+    pairs, ref = workload
+    segments = _shm_segments()
+    backend = get_backend(
+        "multiprocess", workers=2, min_pairs=1, persistent=True
+    )
+    try:
+        old_pids = backend.warm()
+        _kill_and_reap(old_pids[0])
+        result = backend.compare_pairs(pairs)
+        assert np.array_equal(result.intersection, ref.intersection)
+        assert np.array_equal(result.union, ref.union)
+        assert result.stats.as_dict() == ref.stats.as_dict()
+        assert backend.last_report.worker_failures >= 1
+
+        again = backend.compare_pairs(pairs)
+        assert np.array_equal(again.intersection, ref.intersection)
+        assert again.stats.as_dict() == ref.stats.as_dict()
+        assert backend.last_report.worker_failures == 0
+        assert backend.last_report.local_shards == 0
+        pids = {p.pid for p in multiprocessing.active_children()}
+        assert pids and not pids & set(old_pids)
     finally:
         backend.close()
-        crasher_a.stop()
-        crasher_b.stop()
+    assert _shm_segments() <= segments
 
 
 def test_slow_worker_triggers_speculative_redispatch(workload):

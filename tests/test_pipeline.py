@@ -3,6 +3,7 @@
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import BufferClosedError, DeviceError, PipelineError
@@ -10,11 +11,14 @@ from repro.pipeline.buffers import CLOSED, BoundedBuffer
 from repro.pipeline.device import GpuDevice
 from repro.pipeline.engine import (
     PipelineOptions,
+    _collect,
     run_nopipe_multi,
     run_nopipe_single,
     run_pipelined,
 )
 from repro.pipeline.migration import MigrationConfig
+from repro.pipeline.stages import StageTimers
+from repro.pipeline.tasks import TileResult
 from repro.geometry.box import Box
 from repro.geometry.polygon import RectilinearPolygon
 
@@ -225,6 +229,26 @@ class TestSchemes:
         out = run_pipelined(dir_a, dir_b, options)
         launches = [stats[3] for stats in out.device_stats]
         assert sum(launches) >= 4 and all(n > 0 for n in launches)
+
+    def test_jaccard_mean_independent_of_completion_order(self):
+        # Aggregator threads finish tiles in any order; the merged J'
+        # must not move in the last ulp when that order changes.
+        rng = np.random.default_rng(11)
+        results = [
+            TileResult(
+                tile_id=i,
+                ratio_sum=float(rng.uniform(0.0, 40.0)),
+                intersecting_pairs=50,
+                candidate_pairs=60,
+            )
+            for i in range(24)
+        ]
+        expected = _collect(results, 0.0, StageTimers(), []).jaccard_mean
+        for _ in range(20):
+            order = rng.permutation(len(results))
+            shuffled = [results[i] for i in order]
+            out = _collect(shuffled, 0.0, StageTimers(), [])
+            assert out.jaccard_mean.hex() == expected.hex()
 
     def test_multi_stream_validation(self, small_dataset):
         dir_a, dir_b = small_dataset
